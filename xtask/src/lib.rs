@@ -9,7 +9,9 @@
 //! 1. **Ordering justification** ([`check_ordering_justified`]): every
 //!    non-comment occurrence of `Ordering::` must carry a `// ordering:`
 //!    justification — on the same line, or in the contiguous comment
-//!    block directly above it.
+//!    block directly above it. Besides the workspace crates this pass
+//!    covers the vendored rayon stand-in, whose worker pool is this
+//!    workspace's own synchronization code.
 //! 2. **std lock ban** ([`check_std_sync_ban`]): `std::sync::Mutex` /
 //!    `RwLock` are banned outside the poison-recovery module
 //!    (`crates/service/src/lock.rs`) and the per-crate `src/sync.rs`
@@ -68,6 +70,12 @@ impl fmt::Display for Violation {
 /// fixtures) are deliberately absent.
 const SCAN_ROOTS: &[&str] = &["crates", "tests", "src"];
 
+/// Vendored shims whose atomics synchronize this workspace's own threads
+/// (the rayon stand-in's worker pool): the ordering pass, and the README
+/// table built from its sites, cover them too. The other passes stay off
+/// `vendor/`.
+const ORDERING_EXTRA_ROOTS: &[&str] = &["vendor/rayon/src"];
+
 /// The panic-free zone: wire decoding, frame dispatch, and the reactor
 /// event loop, where a malformed or hostile frame must surface as a
 /// `WireError`/`Response::Error`, never a panic — the reactor
@@ -87,8 +95,12 @@ fn std_sync_exempt(rel: &str) -> bool {
 
 /// All `.rs` files under the scan roots, relative paths, sorted.
 pub fn rust_files(root: &Path) -> Vec<PathBuf> {
+    rust_files_under(root, SCAN_ROOTS)
+}
+
+fn rust_files_under(root: &Path, dirs: &[&str]) -> Vec<PathBuf> {
     let mut out = Vec::new();
-    for scan in SCAN_ROOTS {
+    for scan in dirs {
         walk(&root.join(scan), &mut out);
     }
     out.sort();
@@ -163,7 +175,8 @@ struct OrderingSite {
 
 fn ordering_sites(root: &Path) -> Vec<OrderingSite> {
     let mut sites = Vec::new();
-    for rel in rust_files(root) {
+    let dirs = [SCAN_ROOTS, ORDERING_EXTRA_ROOTS].concat();
+    for rel in rust_files_under(root, &dirs) {
         let Ok(text) = std::fs::read_to_string(root.join(&rel)) else {
             continue;
         };

@@ -118,3 +118,15 @@ fn orderings_table_lists_every_site_with_its_justification() {
         "no unjustified sites may remain in the merged tree"
     );
 }
+
+#[test]
+fn ordering_pass_covers_the_rayon_shim_only() {
+    // The rayon stand-in's worker pool synchronizes workspace threads, so
+    // its atomics need arguments too; the other vendored shims (loom's
+    // model runtime, tracing, proptest) stay out of scope.
+    let table = xtask::orderings_table(&repo_root());
+    assert!(table.contains("`vendor/rayon/src/lib.rs:"), "{table}");
+    for other in ["vendor/loom", "vendor/tracing", "vendor/proptest"] {
+        assert!(!table.contains(other), "{other} must stay out of scope");
+    }
+}
