@@ -116,10 +116,8 @@ impl Default for ReactorConfig {
 
 /// Exponential backoff for persistent `accept` failures (`EMFILE`,
 /// `ENFILE`, and anything else that isn't a transient per-connection
-/// error). Shared by the reactor (which deregisters the listener for
-/// the backoff window) and the blocking server (which sleeps it off in
-/// stop-aware slices).
-pub(crate) struct AcceptPacer {
+/// error). The reactor deregisters the listener for the backoff window.
+struct AcceptPacer {
     base: Duration,
     max: Duration,
     cur: Duration,
@@ -127,7 +125,7 @@ pub(crate) struct AcceptPacer {
 }
 
 impl AcceptPacer {
-    pub(crate) fn new(base: Duration, max: Duration) -> AcceptPacer {
+    fn new(base: Duration, max: Duration) -> AcceptPacer {
         let base = base.max(Duration::from_millis(1));
         AcceptPacer {
             base,
@@ -140,7 +138,7 @@ impl AcceptPacer {
     /// Record an accept failure; returns the delay to impose before the
     /// next accept attempt. Consecutive failures double the delay up to
     /// the ceiling.
-    pub(crate) fn on_error(&mut self, now: Instant) -> Duration {
+    fn on_error(&mut self, now: Instant) -> Duration {
         let delay = self.cur;
         self.until = Some(now + delay);
         self.cur = self.cur.saturating_mul(2).min(self.max);
@@ -149,19 +147,19 @@ impl AcceptPacer {
 
     /// A connection was accepted: the error condition cleared, so the
     /// next failure starts from the base delay again.
-    pub(crate) fn on_success(&mut self) {
+    fn on_success(&mut self) {
         self.cur = self.base;
         self.until = None;
     }
 
     /// When the current backoff window ends (`None` when not backing
     /// off).
-    pub(crate) fn deadline(&self) -> Option<Instant> {
+    fn deadline(&self) -> Option<Instant> {
         self.until
     }
 
     /// True while accepts should stay paused.
-    pub(crate) fn backing_off(&self, now: Instant) -> bool {
+    fn backing_off(&self, now: Instant) -> bool {
         match self.until {
             Some(t) => now < t,
             None => false,
@@ -567,8 +565,8 @@ impl Reactor {
                 self.subscribe_conn(t, last_seq, now);
                 continue;
             }
-            // Same per-request observability as the blocking handler:
-            // a span around dispatch, latency into the class histogram.
+            // Per-request observability: a span around dispatch,
+            // latency into the class histogram.
             let class = req.class_index();
             let span = match req.shard_hint() {
                 Some(shard) => tracing::span(

@@ -10,14 +10,17 @@
 //! queued item (counted, and healed later by anti-entropy), so a slow
 //! or dead follower can never apply backpressure to primary ingest.
 //!
-//! On a subscribed connection the primary runs [`stream_to_follower`]:
+//! On a subscribed connection the primary runs a [`WindowedSender`]:
 //! keep up to [`StreamConfig::window`] unacknowledged `Replicate` frames
 //! in flight, reading cumulative `ReplicateAck`s (each carries the
 //! follower's highest applied sequence number, which retires every
 //! in-flight frame at or below it and feeds the per-follower lag gauge).
 //! An ack that fails to arrive within [`StreamConfig::ack_timeout`]
 //! triggers a retransmit of the whole window, up to
-//! [`StreamConfig::max_retries`] times. The follower runs
+//! [`StreamConfig::max_retries`] times. The server's readiness loop
+//! hosts one sender per subscribed connection; [`drive_sender`] runs the
+//! same state machine on one thread over any [`Transport`]. The
+//! follower runs
 //! [`apply_replication_stream`]: decode, deduplicate by sequence number,
 //! apply through its own ingest pipeline, ack.
 //!
@@ -397,6 +400,15 @@ impl Subscription {
         }
     }
 
+    /// Block until an item is queued or the subscription is closed,
+    /// without taking anything (the waiting half of [`drive_sender`]).
+    pub fn wait(&self) {
+        let mut st = plock(&self.shared.state);
+        while st.queue.is_empty() && !st.closed {
+            st = pwait(&self.shared.ready, st);
+        }
+    }
+
     /// Next item if one is already queued (test and drain helper).
     pub fn try_recv(&self) -> Option<StreamItem> {
         plock(&self.shared.state).queue.pop_front()
@@ -460,8 +472,7 @@ impl Drop for Subscription {
     }
 }
 
-/// Tunables for the primary-side windowed sender
-/// ([`stream_to_follower`]).
+/// Tunables for the primary-side [`WindowedSender`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StreamConfig {
     /// Maximum unacknowledged `Replicate` frames in flight. 1 restores
@@ -486,7 +497,7 @@ impl Default for StreamConfig {
     }
 }
 
-/// Why [`stream_to_follower`] returned without a transport error.
+/// Why [`drive_sender`] returned without a transport error.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StreamEnd {
     /// The hub closed, the follower disconnected or misbehaved, or the
@@ -496,106 +507,6 @@ pub enum StreamEnd {
     /// deposed by a failover election. The caller should adopt the
     /// fence (stop leading) rather than reconnect.
     Fenced(u64),
-}
-
-/// Primary-side sender: stream a subscription's items to one follower,
-/// keeping up to [`StreamConfig::window`] unacknowledged `Replicate`
-/// frames in flight. Acks are cumulative — one `ReplicateAck` retires
-/// every in-flight frame at or below its sequence number — and a
-/// missing ack retransmits the window after
-/// [`StreamConfig::ack_timeout`], up to [`StreamConfig::max_retries`]
-/// consecutive times. Batches at or below `resume_after` are skipped —
-/// the follower already has them. Generation-change notices are
-/// forwarded immediately and never retransmitted (adoption via
-/// anti-entropy is the backstop). Returns [`StreamEnd::Fenced`] when an
-/// ack reveals a higher epoch (this primary has been deposed).
-pub fn stream_to_follower<T: Transport>(
-    transport: &mut T,
-    sub: &Subscription,
-    resume_after: u64,
-    cfg: &StreamConfig,
-) -> Result<StreamEnd, WireError> {
-    let span = tracing::span(
-        "replication_stream",
-        &[
-            ("follower", sub.id().into()),
-            ("resume_after", resume_after.into()),
-            ("window", (cfg.window as u64).into()),
-        ],
-    );
-    let _entered = span.enter();
-    let window = cfg.window.max(1);
-    let mut inflight: VecDeque<(u64, Vec<u8>)> = VecDeque::new();
-    let mut retries = 0u32;
-    loop {
-        // Fill the window: block for the next item only when nothing is
-        // in flight (an empty window with an empty queue means there is
-        // nothing to wait for but the hub), otherwise take whatever is
-        // already queued and fall through to the ack wait.
-        while inflight.len() < window {
-            let item = if inflight.is_empty() {
-                match sub.recv() {
-                    Some(x) => x,
-                    None => return Ok(StreamEnd::Closed),
-                }
-            } else {
-                match sub.try_recv() {
-                    Some(x) => x,
-                    None => break,
-                }
-            };
-            match item {
-                StreamItem::Batch(seq, ops) => {
-                    if seq <= resume_after {
-                        continue;
-                    }
-                    let frame = encode_replicate(sub.hub_epoch(), seq, &ops);
-                    transport.send(&frame)?;
-                    sub.hub.streamed.fetch_add(1, Relaxed);
-                    inflight.push_back((seq, frame));
-                }
-                StreamItem::Generation { generation, shards } => {
-                    transport.send(&encode_response(&Response::GenerationChange {
-                        epoch: sub.hub_epoch(),
-                        generation,
-                        shards,
-                    }))?;
-                }
-            }
-        }
-        if inflight.is_empty() {
-            continue;
-        }
-        match transport.recv_timeout(cfg.ack_timeout)? {
-            RecvOutcome::Frame(payload) => match decode_request(&payload) {
-                Ok(Request::ReplicateAck { epoch, seq }) => {
-                    if epoch > sub.hub_epoch() {
-                        return Ok(StreamEnd::Fenced(epoch));
-                    }
-                    sub.ack(seq);
-                    while inflight.front().is_some_and(|&(s, _)| s <= seq) {
-                        inflight.pop_front();
-                    }
-                    retries = 0;
-                }
-                // Anything else on a subscribed connection is a protocol
-                // violation; drop the follower (it will reconnect).
-                _ => return Ok(StreamEnd::Closed),
-            },
-            RecvOutcome::Closed => return Ok(StreamEnd::Closed),
-            RecvOutcome::TimedOut => {
-                retries += 1;
-                if retries > cfg.max_retries {
-                    return Ok(StreamEnd::Closed);
-                }
-                // Retransmit the whole window in order; the follower's
-                // sequence dedup makes duplicates harmless.
-                for (_, frame) in &inflight {
-                    transport.send(frame)?;
-                }
-            }
-        }
-    }
 }
 
 /// What feeding one incoming frame to a [`WindowedSender`] concluded.
@@ -611,11 +522,11 @@ pub enum SenderFrame {
     Protocol,
 }
 
-/// The primary-side windowed sender as a poll-driven state machine — the
-/// exact semantics of [`stream_to_follower`] (cumulative acks, window
-/// retransmit on ack timeout, epoch fencing, generation pass-through)
-/// with the blocking waits factored out, so a single-threaded readiness
-/// loop can host one per subscribed connection:
+/// The primary-side windowed sender as a poll-driven state machine
+/// (cumulative acks, window retransmit on ack timeout, epoch fencing,
+/// generation pass-through) with no blocking waits of its own, so a
+/// single-threaded readiness loop can host one per subscribed
+/// connection:
 ///
 /// - [`WindowedSender::pump`] drains whatever the subscription has
 ///   queued (never blocks) and emits encoded frames;
@@ -625,6 +536,7 @@ pub enum SenderFrame {
 ///
 /// The loop learns about freshly published batches through
 /// [`ReplicationHub::add_notifier`] (typically a poller waker).
+/// [`drive_sender`] hosts one on a blocking [`Transport`] instead.
 pub struct WindowedSender {
     sub: Subscription,
     resume_after: u64,
@@ -747,6 +659,58 @@ impl WindowedSender {
     }
 }
 
+/// Host `sender` on a blocking `transport` — the reactor's sender state
+/// machine driven by one thread: pump queued items out, block on the
+/// subscription while nothing is in flight, otherwise wait for an ack
+/// until the retransmit deadline and feed whichever came first back in.
+/// Returns [`StreamEnd::Fenced`] when an ack reveals a higher epoch
+/// (this primary has been deposed) and [`StreamEnd::Closed`] when the
+/// stream finished, the follower closed or misbehaved, or the retry
+/// budget ran out.
+pub fn drive_sender<T: Transport>(
+    sender: &mut WindowedSender,
+    transport: &mut T,
+) -> Result<StreamEnd, WireError> {
+    loop {
+        if !send_emitted(transport, |emit| sender.pump(Instant::now(), emit))? {
+            return Ok(StreamEnd::Closed);
+        }
+        let Some(deadline) = sender.deadline() else {
+            sender.subscription().wait();
+            continue;
+        };
+        let budget = deadline.saturating_duration_since(Instant::now());
+        match transport.recv_timeout(budget)? {
+            RecvOutcome::Frame(payload) => match sender.on_frame(&payload, Instant::now()) {
+                SenderFrame::Continue => {}
+                SenderFrame::Fenced(epoch) => return Ok(StreamEnd::Fenced(epoch)),
+                SenderFrame::Protocol => return Ok(StreamEnd::Closed),
+            },
+            RecvOutcome::Closed => return Ok(StreamEnd::Closed),
+            RecvOutcome::TimedOut => {
+                if !send_emitted(transport, |emit| sender.on_deadline(Instant::now(), emit))? {
+                    return Ok(StreamEnd::Closed);
+                }
+            }
+        }
+    }
+}
+
+/// Run one emitting [`WindowedSender`] step, sending each frame it
+/// emits; the first send error is returned once the step is done.
+fn send_emitted<T: Transport>(
+    transport: &mut T,
+    step: impl FnOnce(&mut dyn FnMut(&[u8])) -> bool,
+) -> Result<bool, WireError> {
+    let mut sent = Ok(());
+    let more = step(&mut |frame| {
+        if sent.is_ok() {
+            sent = transport.send(frame);
+        }
+    });
+    sent.map(|()| more)
+}
+
 /// What one run of [`apply_replication_stream`] did.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ApplyOutcome {
@@ -864,6 +828,7 @@ pub fn apply_replication_stream<T: Transport>(
 mod tests {
     use super::*;
     use crate::queue::Op;
+    use crate::transport::{sim_duplex, FaultPlan, SimTransport};
 
     fn batch(tag: u64, n: u64) -> Batch {
         (0..n)
@@ -1010,6 +975,135 @@ mod tests {
                 assert_eq!(shards, 8);
             }
             other => panic!("expected a generation notice, got {other:?}"),
+        }
+    }
+
+    // --- The production sender, hosted by `drive_sender` ---------------
+
+    fn ack(epoch: u64, seq: u64) -> Vec<u8> {
+        encode_request(&Request::ReplicateAck { epoch, seq })
+    }
+
+    /// Sequence numbers of the `Replicate` frames in `frames`, in order.
+    fn replicated_seqs(frames: &[Vec<u8>]) -> Vec<u64> {
+        frames
+            .iter()
+            .filter_map(|f| match decode_response(f) {
+                Ok(Response::Replicate { seq, .. }) => Some(seq),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// A hub holding batches `1..=n` behind one subscription.
+    fn hub_with(n: u64) -> (ReplicationHub, Subscription) {
+        let hub = ReplicationHub::new(16);
+        let sub = hub.subscribe();
+        for i in 1..=n {
+            hub.publish(&batch(i, 2));
+        }
+        (hub, sub)
+    }
+
+    #[test]
+    fn driver_returns_fenced_on_a_higher_epoch_ack() {
+        let hub = ReplicationHub::new(4);
+        hub.bump_epoch(2);
+        let sub = hub.subscribe();
+        hub.publish(&batch(1, 2));
+        hub.close();
+        let mut t = SimTransport::new(vec![ack(5, 1)]);
+        let mut sender = WindowedSender::new(sub, 0, StreamConfig::default());
+        assert_eq!(
+            drive_sender(&mut sender, &mut t).unwrap(),
+            StreamEnd::Fenced(5)
+        );
+        assert_eq!(replicated_seqs(&t.sent), vec![1]);
+        // A fencing ack is not an acknowledgement.
+        assert_eq!(sender.subscription().acked(), 0);
+    }
+
+    #[test]
+    fn driver_closes_on_a_frame_that_is_not_an_ack() {
+        let (hub, sub) = hub_with(1);
+        hub.close();
+        // The ack after the stray frame must never be read.
+        let mut t = SimTransport::new(vec![encode_request(&Request::Hello), ack(0, 1)]);
+        let mut sender = WindowedSender::new(sub, 0, StreamConfig::default());
+        assert_eq!(
+            drive_sender(&mut sender, &mut t).unwrap(),
+            StreamEnd::Closed
+        );
+        assert_eq!(replicated_seqs(&t.sent), vec![1]);
+        assert_eq!(sender.subscription().acked(), 0);
+    }
+
+    #[test]
+    fn driver_skips_batches_at_or_below_resume_after() {
+        let (hub, sub) = hub_with(5);
+        hub.close();
+        let mut t = SimTransport::new(vec![ack(0, 4), ack(0, 5)]);
+        let mut sender = WindowedSender::new(sub, 3, StreamConfig::default());
+        assert_eq!(
+            drive_sender(&mut sender, &mut t).unwrap(),
+            StreamEnd::Closed
+        );
+        assert_eq!(replicated_seqs(&t.sent), vec![4, 5]);
+        assert_eq!(sender.subscription().acked(), 5);
+    }
+
+    #[test]
+    fn driver_retransmits_the_window_then_gives_up_on_a_silent_follower() {
+        let (_hub, sub) = hub_with(3);
+        let (mut near, mut far) = sim_duplex(Duration::ZERO);
+        let cfg = StreamConfig {
+            window: 8,
+            ack_timeout: Duration::from_millis(5),
+            max_retries: 2,
+        };
+        let mut sender = WindowedSender::new(sub, 0, cfg);
+        // `far` stays open but never acks.
+        assert_eq!(
+            drive_sender(&mut sender, &mut near).unwrap(),
+            StreamEnd::Closed
+        );
+        drop(near);
+        let mut got = Vec::new();
+        while let Some(frame) = far.recv().unwrap() {
+            got.push(frame);
+        }
+        // The first send plus exactly two retransmits, each the whole
+        // window in order.
+        assert_eq!(replicated_seqs(&got), [1, 2, 3].repeat(3));
+    }
+
+    /// Every seeded fault pattern over the ack script (drops, duplicates,
+    /// reorders, truncation) ends the stream cleanly: the first
+    /// transmission of each batch goes out in order, and the sender
+    /// never records an ack past the highest sequence it sent.
+    #[test]
+    fn driver_survives_seeded_ack_faults() {
+        for seed in 0..8 {
+            let (hub, sub) = hub_with(6);
+            hub.close();
+            let acks: Vec<Vec<u8>> = (1..=6).map(|seq| ack(0, seq)).collect();
+            let mut t = SimTransport::new(FaultPlan::for_seed(seed).mangle(&acks));
+            let cfg = StreamConfig {
+                window: 2,
+                ..StreamConfig::default()
+            };
+            let mut sender = WindowedSender::new(sub, 0, cfg);
+            assert_eq!(
+                drive_sender(&mut sender, &mut t).unwrap(),
+                StreamEnd::Closed,
+                "seed {seed}"
+            );
+            let seqs = replicated_seqs(&t.sent);
+            assert!(
+                seqs.windows(2).all(|w| w[0] < w[1]),
+                "seed {seed}: {seqs:?}"
+            );
+            assert!(sender.subscription().acked() <= seqs.last().copied().unwrap_or(0));
         }
     }
 }

@@ -20,16 +20,19 @@
 //!   `bump_epoch` is either stamped with the post-bump epoch or closed
 //!   — never left alive pinned to the fenced epoch, which would orphan
 //!   a follower on a stream no fence will ever cut again.
-//! * **Transport smoke**: `stream_to_follower` over a seeded
-//!   [`SimTransport`] ack script (clean and fault-mangled) never
-//!   panics, and everything it sends is a well-formed `Replicate` frame
-//!   with strictly increasing sequence numbers.
+//! * **Transport smoke**: the production `WindowedSender`, hosted by
+//!   `drive_sender` over a seeded [`SimTransport`] ack script (clean and
+//!   fault-mangled), never panics, and everything it sends is a
+//!   well-formed `Replicate` frame with strictly increasing sequence
+//!   numbers.
 
 #![cfg(loom)]
 
 use loom::sync::Arc;
 use peel_service::queue::Op;
-use peel_service::replication::{stream_to_follower, ReplicationHub, StreamConfig, StreamItem};
+use peel_service::replication::{
+    drive_sender, ReplicationHub, StreamConfig, StreamItem, WindowedSender,
+};
 use peel_service::transport::{FaultPlan, SimTransport};
 use peel_service::wire::{decode_response, encode_request, Request, Response};
 
@@ -189,7 +192,7 @@ fn early_closed_sample_loses_the_close_and_replays() {
     assert!(replayed.message.contains("deadlock"));
 }
 
-/// `stream_to_follower` over a scripted `SimTransport`: with clean acks
+/// `drive_sender` over a scripted `SimTransport`: with clean acks
 /// and with seed-mangled acks, the sender never panics and every frame
 /// it emits is a well-formed `Replicate` in strictly increasing
 /// sequence order, under every publisher interleaving.
@@ -211,8 +214,8 @@ fn sim_transport_stream_smoke() {
                 .map(|seq| encode_request(&Request::ReplicateAck { epoch: 0, seq }))
                 .collect();
             let mut transport = SimTransport::new(plan.mangle(&acks));
-            stream_to_follower(&mut transport, &sub, 0, &StreamConfig::default())
-                .expect("SimTransport never errors");
+            let mut sender = WindowedSender::new(sub, 0, StreamConfig::default());
+            drive_sender(&mut sender, &mut transport).expect("SimTransport never errors");
             publisher.join().unwrap();
             let mut last = 0u64;
             for frame in &transport.sent {
