@@ -42,6 +42,12 @@ fn keys(n: usize, seed: u64) -> Vec<u64> {
     (0..n).map(|_| rng.next_u64()).collect()
 }
 
+/// One unlabelled scalar family from a live `Stats` answer.
+fn stat(client: &mut Client, family: &str) -> u64 {
+    let stats = client.stats().expect("stats");
+    stats.scalar(family, &[]).expect(family)
+}
+
 fn cfg(shards: u32, diff_budget: usize) -> ServiceConfig {
     ServiceConfig {
         batch_size: 1024,
@@ -159,7 +165,7 @@ fn run_replication(n: usize, shards: u32) -> ReplMeasurement {
     );
     let mut client =
         Client::connect_retry(primary.local_addr(), Duration::from_secs(5)).expect("connect");
-    while client.stats().expect("stats").replication.followers == 0 {
+    while stat(&mut client, "peel_replication_followers") == 0 {
         std::thread::sleep(Duration::from_millis(2));
     }
 
@@ -168,7 +174,7 @@ fn run_replication(n: usize, shards: u32) -> ReplMeasurement {
     let mut max_lag_seen = 0;
     for chunk in server_set.chunks(8_192) {
         client.insert(chunk).expect("insert");
-        max_lag_seen = max_lag_seen.max(client.stats().expect("stats").replication.max_lag);
+        max_lag_seen = max_lag_seen.max(stat(&mut client, "peel_replication_max_lag"));
     }
     client.flush().expect("flush");
     let ingest_ms = t.elapsed().as_secs_f64() * 1e3;
@@ -183,7 +189,7 @@ fn run_replication(n: usize, shards: u32) -> ReplMeasurement {
         if identical {
             break;
         }
-        max_lag_seen = max_lag_seen.max(client.stats().expect("stats").replication.max_lag);
+        max_lag_seen = max_lag_seen.max(stat(&mut client, "peel_replication_max_lag"));
         assert!(
             t.elapsed() < Duration::from_secs(120),
             "follower never converged"
@@ -192,14 +198,13 @@ fn run_replication(n: usize, shards: u32) -> ReplMeasurement {
     }
     let catchup_ms = t.elapsed().as_secs_f64() * 1e3;
 
-    let ps = client.stats().expect("stats");
     let fm = fsvc.metrics();
     ReplMeasurement {
         ingest_ms,
         catchup_ms,
         max_lag_seen,
-        batches_streamed: ps.replication.batches_streamed,
-        batches_dropped: ps.replication.batches_dropped,
+        batches_streamed: stat(&mut client, "peel_replication_batches_streamed_total"),
+        batches_dropped: stat(&mut client, "peel_replication_batches_dropped_total"),
         anti_entropy_keys: fm.replication.anti_entropy_keys,
     }
 }
@@ -284,7 +289,7 @@ fn run_failover(n: usize) -> f64 {
     // published pre-subscribe only reach a follower via anti-entropy,
     // and an n-key divergence is far over the diff budget — losing
     // this race turns convergence into a coin flip.
-    while client.stats().expect("stats").replication.followers < 2 {
+    while stat(&mut client, "peel_replication_followers") < 2 {
         std::thread::sleep(Duration::from_millis(2));
     }
     client.insert(&keys(n, 7)).expect("insert");
@@ -798,7 +803,7 @@ fn run_connections(target: usize, pipeline: usize) -> ConnMeasurement {
     let sweep_ms = t.elapsed().as_secs_f64() * 1e3;
 
     // Live gauge with the whole herd (plus the probe) still attached.
-    let held = probe.stats().expect("stats").connections.live;
+    let held = stat(&mut probe, "peel_connections_live");
 
     // Single-connection throughput on a fresh connection, best of 3
     // rounds each (the herd stays connected, as it would in

@@ -62,8 +62,10 @@ pub struct ParRecovery {
     /// Keys recovered in each productive subround.
     pub per_subround: Vec<u64>,
     /// Wall time of each productive subround, in nanoseconds (scan +
-    /// deletion phases), aligned with `per_subround` — the attribution
-    /// trace `peel-service` ships in its `Stats` metrics.
+    /// deletion phases), aligned with `per_subround`. `peel-service`
+    /// exports the last recovery's pair of traces as the
+    /// `peel_last_recovery_subround_keys` / `_ns` families (`subround`
+    /// label), and the sum as one `peel_recovery_latency_ns` sample.
     pub per_subround_ns: Vec<u64>,
 }
 

@@ -53,7 +53,7 @@ fn serve_metrics(listener: std::net::TcpListener, service: Arc<PeelService>) {
         // isn't reset before it finishes sending.
         let mut buf = [0u8; 1024];
         let _ = stream.read(&mut buf);
-        let body = peel_service::prom::render(&service.metrics());
+        let body = peel_service::prom::render(&service.metrics().samples());
         let head = format!(
             "HTTP/1.0 200 OK\r\nContent-Type: text/plain; version=0.0.4\r\n\
              Content-Length: {}\r\nConnection: close\r\n\r\n",
@@ -255,10 +255,10 @@ fn main() {
         m.batches_applied,
         m.mean_batch_occupancy(),
         m.queue_stalls,
-        m.recoveries,
+        m.recovery_latency.count,
         m.recoveries_incomplete,
         m.recovery_subrounds,
-        m.recovery_ns as f64 / 1e6,
+        m.recovery_latency.sum as f64 / 1e6,
     );
     let r = &m.replication;
     println!(

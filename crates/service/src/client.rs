@@ -12,7 +12,7 @@ use std::time::{Duration, Instant};
 
 use peel_iblt::Iblt;
 
-use crate::metrics::{MetricsSnapshot, ReshardStats};
+use crate::metrics::{ReshardStats, Samples};
 use crate::recorder::FlightRecord;
 use crate::router::build_shard_digests;
 use crate::transport::FramedTcp;
@@ -226,42 +226,19 @@ impl Client {
         Ok(out)
     }
 
-    /// Fetch service metrics.
-    pub fn stats(&mut self) -> Result<MetricsSnapshot, WireError> {
+    /// Fetch service metrics: every registry family's samples, looked
+    /// up by family name ([`Samples::scalar`], [`Samples::histogram`]).
+    pub fn stats(&mut self) -> Result<Samples, WireError> {
         match self.call(&Request::Stats)? {
-            Response::Stats(s) => Ok(*s),
+            Response::Stats(s) => Ok(s),
             _ => Err(WireError::UnexpectedResponse("expected Stats")),
         }
     }
 
-    /// Fetch the server's metrics rendered in the Prometheus text
-    /// exposition format (protocol v5; older servers answer with a tag
-    /// error, surfaced as [`WireError::Remote`]).
-    pub fn metrics_text(&mut self) -> Result<String, WireError> {
-        let hello = self.refresh_hello()?;
-        if hello.version < 5 {
-            return Err(WireError::Remote(format!(
-                "server speaks protocol v{}; text metrics need v5",
-                hello.version
-            )));
-        }
-        match self.call(&Request::MetricsText)? {
-            Response::MetricsText(s) => Ok(s),
-            _ => Err(WireError::UnexpectedResponse("expected MetricsText")),
-        }
-    }
-
     /// Dump the server's flight recorder — the most recent structured
-    /// trace events, oldest first (protocol v5). Empty when no recorder
-    /// is installed on the server.
+    /// trace events, oldest first. Empty when no recorder is installed
+    /// on the server.
     pub fn debug_dump(&mut self) -> Result<Vec<FlightRecord>, WireError> {
-        let hello = self.refresh_hello()?;
-        if hello.version < 5 {
-            return Err(WireError::Remote(format!(
-                "server speaks protocol v{}; flight-recorder dumps need v5",
-                hello.version
-            )));
-        }
         match self.call(&Request::DebugDump)? {
             Response::DebugDump(records) => Ok(records),
             _ => Err(WireError::UnexpectedResponse("expected DebugDump")),
@@ -302,17 +279,10 @@ impl Client {
         self.reshard_call(&Request::ReshardAbort)
     }
 
-    /// The whole reshard, synchronously: version check, begin, commit —
-    /// aborting the migration if the commit fails so the server is never
-    /// left stuck mid-reshard by this driver.
+    /// The whole reshard, synchronously: begin, commit — aborting the
+    /// migration if the commit fails so the server is never left stuck
+    /// mid-reshard by this driver.
     pub fn reshard(&mut self, to_shards: u32) -> Result<ReshardStats, WireError> {
-        let hello = self.refresh_hello()?;
-        if hello.version < 4 {
-            return Err(WireError::Remote(format!(
-                "server speaks protocol v{}; live resharding needs v4",
-                hello.version
-            )));
-        }
         self.reshard_begin(to_shards)?;
         match self.reshard_commit() {
             Ok(status) => Ok(status),

@@ -47,13 +47,15 @@
 //!   per-shard op counts and epochs, batch occupancy, queue stalls,
 //!   per-follower replication lag, reshard phase/keys-moved/generation
 //!   gauges, and the per-subround recovery traces the paper's
-//!   Tables 5–6 analyze — observable over the wire via `Stats` — plus
-//!   lock-free log-bucketed latency histograms (request by frame class,
-//!   queue wait, batch apply, recovery, replication lag), structured
-//!   tracing spans through every layer (`vendor/tracing`), Prometheus
-//!   text exposition (the `MetricsText` frame and `peel-server
-//!   --metrics-addr`), and a seqlock-ring flight recorder dumped by the
-//!   `DebugDump` frame and the server's panic hook.
+//!   Tables 5–6 analyze, plus lock-free log-bucketed latency histograms
+//!   (request by frame class, queue wait, batch apply, recovery,
+//!   replication lag). Each exported family is defined once, in
+//!   [`metrics::REGISTRY`], and every exporter loops over it: the
+//!   self-describing `Stats` frame, Prometheus text exposition
+//!   (`peel-server --metrics-addr`), and README's metric table. Also
+//!   structured tracing spans through every layer (`vendor/tracing`),
+//!   and a seqlock-ring flight recorder dumped by the `DebugDump` frame
+//!   and the server's panic hook.
 //!
 //! ## Why the table stays small
 //!
@@ -121,7 +123,7 @@ pub use follower::{
 };
 pub use metrics::{
     AtomicHistogram, FollowerStats, HistogramSnapshot, Metrics, MetricsSnapshot, ReplicationStats,
-    ReshardStats, ShardStats,
+    ReshardStats, Sample, Samples, ShardStats, Value,
 };
 pub use reactor::ReactorConfig;
 pub use recorder::{FlightRecord, FlightRecorder};

@@ -214,8 +214,7 @@ pub fn handle_request(service: &PeelService, req: Request) -> (Response, bool) {
             Ok(diff) => Response::Diff(diff),
             Err(e) => Response::Error(e.to_string()),
         },
-        Request::Stats => Response::Stats(Box::new(service.metrics())),
-        Request::MetricsText => Response::MetricsText(crate::prom::render(&service.metrics())),
+        Request::Stats => Response::Stats(service.metrics().samples()),
         Request::DebugDump => Response::DebugDump(
             crate::recorder::global()
                 .map(|r| r.dump())

@@ -1360,14 +1360,14 @@ mod tests {
         assert_eq!(got_remote, want_remote);
 
         let m = svc.metrics();
-        assert_eq!(m.recoveries, 4);
+        assert_eq!(m.recovery_latency.count, 4);
         assert_eq!(m.recoveries_incomplete, 0);
         assert!(m.recovery_subrounds > 0);
         // Per-subround timing (ISSUE 4 satellite): the wall-time trace is
         // aligned with the key-count trace and sums into the total.
-        assert!(m.recovery_ns > 0);
+        assert!(m.recovery_latency.sum > 0);
         assert_eq!(m.last_recovery_trace_ns.len(), m.last_recovery_trace.len());
-        assert!(m.recovery_ns >= m.last_recovery_trace_ns.iter().sum::<u64>());
+        assert!(m.recovery_latency.sum >= m.last_recovery_trace_ns.iter().sum::<u64>());
     }
 
     #[test]
@@ -1399,7 +1399,7 @@ mod tests {
             1,
             "sequential reconciles share one context"
         );
-        assert_eq!(svc.metrics().recoveries, 24);
+        assert_eq!(svc.metrics().recovery_latency.count, 24);
     }
 
     #[test]

@@ -17,10 +17,7 @@ use std::io::{self, Read, Write};
 
 use peel_iblt::{Cell, Iblt, IbltConfig};
 
-use crate::metrics::{
-    ConnectionStats, FollowerStats, HistogramSnapshot, MetricsSnapshot, ReplicationStats,
-    ReshardStats, ShardStats, HISTOGRAM_BUCKETS, REQUEST_CLASSES,
-};
+use crate::metrics::{HistogramSnapshot, ReshardStats, Sample, Samples, Value, HISTOGRAM_BUCKETS};
 use crate::queue::Op;
 use crate::recorder::FlightRecord;
 
@@ -36,8 +33,9 @@ pub const MAX_FRAME: usize = 16 << 20;
 /// revision 4 added the live-resharding frames (`ReshardBegin`,
 /// `ReshardDigest`, `ReshardCommit`, `ReshardAbort`), the `Reshard` and
 /// sparse-encoded `DigestSparse` responses, and the reshard block of
-/// `Stats`; revision 5 added the observability frames (`MetricsText`,
-/// `DebugDump`) and the histogram + per-follower blocks of `Stats`;
+/// `Stats`; revision 5 added the observability frames (a Prometheus
+/// text frame, since removed, and `DebugDump`) and the histogram +
+/// per-follower blocks of `Stats`;
 /// revision 6 added the replica-mesh machinery: the replication epoch
 /// carried in `Hello`, `Replicate`, and `ReplicateAck` (fencing stale
 /// primaries), cumulative window acks, the `ReplicaStatus` election
@@ -51,7 +49,13 @@ pub const MAX_FRAME: usize = 16 << 20;
 /// idle-reaped counts and accept-error totals from the reactor server);
 /// the `Hello` layout is unchanged, and a v6 peer refuses a v7 `Stats`
 /// frame at the trailing-bytes check rather than at the handshake.
-pub const PROTOCOL_VERSION: u8 = 7;
+/// Revision 8 made `Stats` a self-describing list of `(family, labels,
+/// value | histogram)` samples read off the metrics registry, so a new
+/// metric never changes the protocol again, and removed the
+/// `MetricsText` frame pair (the `--metrics-addr` listener serves that
+/// body); the `Hello` layout is unchanged, so a client that reads
+/// `Stats` across revisions compares [`HelloInfo::version`] first.
+pub const PROTOCOL_VERSION: u8 = 8;
 
 /// Everything that can go wrong encoding, decoding, or transporting a
 /// message.
@@ -260,10 +264,6 @@ pub enum Request {
     /// Drop the in-flight migration and keep serving the old generation
     /// (which dual-apply kept authoritative — no key is lost).
     ReshardAbort,
-    /// Fetch every counter, gauge, and histogram rendered in the
-    /// Prometheus text exposition format (protocol v5) — the same body
-    /// the optional `--metrics-addr` HTTP listener serves.
-    MetricsText,
     /// Dump the flight recorder: the last N structured tracing events
     /// the server recorded (protocol v5). Empty when no recorder is
     /// installed.
@@ -302,7 +302,6 @@ impl Request {
             Request::ReshardDigest { .. } => "reshard_digest",
             Request::ReshardCommit => "reshard_commit",
             Request::ReshardAbort => "reshard_abort",
-            Request::MetricsText => "metrics_text",
             Request::DebugDump => "debug_dump",
             Request::ReplicaStatus => "replica_status",
             Request::ReadDigest { .. } => "read_digest",
@@ -321,7 +320,7 @@ impl Request {
     }
 
     /// The request-latency histogram class this frame is recorded
-    /// under (an index into [`REQUEST_CLASSES`]).
+    /// under (an index into [`crate::metrics::REQUEST_CLASSES`]).
     pub fn class_index(&self) -> usize {
         match self {
             Request::Hello => 0,
@@ -329,9 +328,7 @@ impl Request {
             Request::Flush => 2,
             Request::Digest { .. } | Request::ReadDigest { .. } => 3,
             Request::Reconcile { .. } => 4,
-            Request::Stats | Request::MetricsText | Request::DebugDump | Request::ReplicaStatus => {
-                5
-            }
+            Request::Stats | Request::DebugDump | Request::ReplicaStatus => 5,
             Request::ReshardBegin { .. }
             | Request::ReshardDigest { .. }
             | Request::ReshardCommit
@@ -360,8 +357,8 @@ pub enum Response {
     },
     /// The decoded per-shard symmetric difference.
     Diff(ShardDiff),
-    /// Service metrics.
-    Stats(Box<MetricsSnapshot>),
+    /// Service metrics: every registry family's samples.
+    Stats(Samples),
     /// The request failed; human-readable reason.
     Error(String),
     /// Primary → follower: one sealed ingest batch, streamed on a
@@ -393,8 +390,6 @@ pub enum Response {
         /// The snapshot.
         iblt: Iblt,
     },
-    /// The metrics in Prometheus text exposition format (protocol v5).
-    MetricsText(String),
     /// The flight-recorder dump, oldest record first (protocol v5).
     DebugDump(Vec<FlightRecord>),
     /// A replica's mesh status (answer to [`Request::ReplicaStatus`],
@@ -691,7 +686,6 @@ const REQ_RESHARD_BEGIN: u8 = 0x0b;
 const REQ_RESHARD_DIGEST: u8 = 0x0c;
 const REQ_RESHARD_COMMIT: u8 = 0x0d;
 const REQ_RESHARD_ABORT: u8 = 0x0e;
-const REQ_METRICS_TEXT: u8 = 0x0f;
 const REQ_DEBUG_DUMP: u8 = 0x10;
 const REQ_REPLICA_STATUS: u8 = 0x11;
 const REQ_READ_DIGEST: u8 = 0x12;
@@ -705,7 +699,6 @@ const RESP_ERROR: u8 = 0x86;
 const RESP_REPLICATE: u8 = 0x87;
 const RESP_RESHARD: u8 = 0x88;
 const RESP_DIGEST_SPARSE: u8 = 0x89;
-const RESP_METRICS_TEXT: u8 = 0x8a;
 const RESP_DEBUG_DUMP: u8 = 0x8b;
 const RESP_REPLICA_STATUS: u8 = 0x8c;
 const RESP_READ_STALE: u8 = 0x8d;
@@ -783,7 +776,6 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
         }
         Request::ReshardCommit => out.push(REQ_RESHARD_COMMIT),
         Request::ReshardAbort => out.push(REQ_RESHARD_ABORT),
-        Request::MetricsText => out.push(REQ_METRICS_TEXT),
         Request::DebugDump => out.push(REQ_DEBUG_DUMP),
         Request::ReplicaStatus => out.push(REQ_REPLICA_STATUS),
         Request::ReadDigest { shard, max_lag } => {
@@ -821,7 +813,6 @@ pub fn decode_request(payload: &[u8]) -> Result<Request, WireError> {
         REQ_RESHARD_DIGEST => Request::ReshardDigest { shard: r.u32()? },
         REQ_RESHARD_COMMIT => Request::ReshardCommit,
         REQ_RESHARD_ABORT => Request::ReshardAbort,
-        REQ_METRICS_TEXT => Request::MetricsText,
         REQ_DEBUG_DUMP => Request::DebugDump,
         REQ_REPLICA_STATUS => Request::ReplicaStatus,
         REQ_READ_DIGEST => Request::ReadDigest {
@@ -924,182 +915,59 @@ fn read_histogram(r: &mut Reader) -> Result<HistogramSnapshot, WireError> {
     })
 }
 
-fn put_follower_rows(out: &mut Vec<u8>, rows: &[FollowerStats]) {
-    put_u32(out, rows.len() as u32);
-    for f in rows {
-        put_u64(out, f.id);
-        put_u64(out, f.published);
-        put_u64(out, f.acked);
-        put_u64(out, f.lag);
-        out.push(f.alive as u8);
+const VALUE_SCALAR: u8 = 0;
+const VALUE_HISTOGRAM: u8 = 1;
+
+/// `Stats` wire form: a sample count, then per sample its family name,
+/// its `(label, value)` string pairs, and a tagged scalar or histogram.
+fn put_samples(out: &mut Vec<u8>, samples: &Samples) {
+    put_u32(out, samples.0.len() as u32);
+    for s in &samples.0 {
+        put_string(out, &s.family);
+        put_u32(out, s.labels.len() as u32);
+        for (k, v) in &s.labels {
+            put_string(out, k);
+            put_string(out, v);
+        }
+        match &s.value {
+            Value::Scalar(v) => {
+                out.push(VALUE_SCALAR);
+                put_u64(out, *v);
+            }
+            Value::Histogram(h) => {
+                out.push(VALUE_HISTOGRAM);
+                put_histogram(out, h);
+            }
+        }
     }
 }
 
-fn read_follower_rows(r: &mut Reader) -> Result<Vec<FollowerStats>, WireError> {
-    // 33 wire bytes per row (the alive byte is new in v6; Hello
-    // negotiation refuses cross-version peers, so no v5 compat shim).
-    let n = r.len(33)?;
-    (0..n)
-        .map(|_| {
-            Ok(FollowerStats {
-                id: r.u64()?,
-                published: r.u64()?,
-                acked: r.u64()?,
-                lag: r.u64()?,
-                alive: r.bool()?,
-            })
-        })
-        .collect()
-}
-
-fn put_stats(out: &mut Vec<u8>, s: &MetricsSnapshot) {
-    put_u64(out, s.batches_applied);
-    put_u64(out, s.ops_applied);
-    put_u64(out, s.queue_stalls);
-    put_u64(out, s.recoveries);
-    put_u64(out, s.recoveries_incomplete);
-    put_u64(out, s.recovery_subrounds);
-    put_u64(out, s.recovery_ns);
-    put_u64_vec(out, &s.last_recovery_trace);
-    put_u64_vec(out, &s.last_recovery_trace_ns);
-    put_u32(out, s.shards.len() as u32);
-    for sh in &s.shards {
-        put_u64(out, sh.epoch);
-        put_u64(out, sh.inserts);
-        put_u64(out, sh.deletes);
+/// Decode a sample list. Total: every count is validated against the
+/// bytes left (a sample is at least 17 wire bytes — empty name, no
+/// labels, tag, scalar — and a label pair at least 8), and histograms
+/// go through [`read_histogram`]'s validation.
+fn read_samples(r: &mut Reader) -> Result<Samples, WireError> {
+    let n = r.len(17)?;
+    let mut samples = Vec::with_capacity(n);
+    for _ in 0..n {
+        let family = r.string()?;
+        let n_labels = r.len(8)?;
+        let mut labels = Vec::with_capacity(n_labels);
+        for _ in 0..n_labels {
+            labels.push((r.string()?, r.string()?));
+        }
+        let value = match r.u8()? {
+            VALUE_SCALAR => Value::Scalar(r.u64()?),
+            VALUE_HISTOGRAM => Value::Histogram(read_histogram(r)?),
+            t => return Err(WireError::BadTag(t)),
+        };
+        samples.push(Sample {
+            family,
+            labels,
+            value,
+        });
     }
-    let r = &s.replication;
-    for v in [
-        r.followers,
-        r.published_seq,
-        r.acked_min,
-        r.max_lag,
-        r.batches_streamed,
-        r.batches_dropped,
-        r.batches_applied,
-        r.batches_skipped,
-        r.decode_errors,
-        r.anti_entropy_rounds,
-        r.anti_entropy_keys,
-    ] {
-        put_u64(out, v);
-    }
-    put_reshard_stats(out, &s.reshard);
-    // Protocol v5 block: per-follower rows, the replication-lag
-    // distribution, and the latency histograms — appended after the v4
-    // layout so the frame grows strictly at the tail.
-    put_follower_rows(out, &r.per_follower);
-    put_histogram(out, &r.lag);
-    put_u32(out, s.request_latency.len() as u32);
-    for h in &s.request_latency {
-        put_histogram(out, h);
-    }
-    put_histogram(out, &s.queue_wait);
-    put_histogram(out, &s.batch_apply);
-    put_histogram(out, &s.recovery_latency);
-    // Protocol v6 tail: the replica-mesh block.
-    put_u64(out, r.epoch);
-    put_u64(out, r.fenced);
-    out.push(r.leading as u8);
-    put_u64(out, r.read_lag);
-    // Protocol v7 tail: the connection block.
-    let c = &s.connections;
-    for v in [
-        c.live,
-        c.accepted,
-        c.refused,
-        c.idle_reaped,
-        c.accept_errors,
-    ] {
-        put_u64(out, v);
-    }
-}
-
-fn read_stats(r: &mut Reader) -> Result<MetricsSnapshot, WireError> {
-    let batches_applied = r.u64()?;
-    let ops_applied = r.u64()?;
-    let queue_stalls = r.u64()?;
-    let recoveries = r.u64()?;
-    let recoveries_incomplete = r.u64()?;
-    let recovery_subrounds = r.u64()?;
-    let recovery_ns = r.u64()?;
-    let last_recovery_trace = r.u64_vec()?;
-    let last_recovery_trace_ns = r.u64_vec()?;
-    let n = r.len(24)?;
-    let shards = (0..n)
-        .map(|_| {
-            Ok(ShardStats {
-                epoch: r.u64()?,
-                inserts: r.u64()?,
-                deletes: r.u64()?,
-            })
-        })
-        .collect::<Result<Vec<_>, WireError>>()?;
-    let mut replication = ReplicationStats {
-        followers: r.u64()?,
-        published_seq: r.u64()?,
-        acked_min: r.u64()?,
-        max_lag: r.u64()?,
-        batches_streamed: r.u64()?,
-        batches_dropped: r.u64()?,
-        batches_applied: r.u64()?,
-        batches_skipped: r.u64()?,
-        decode_errors: r.u64()?,
-        anti_entropy_rounds: r.u64()?,
-        anti_entropy_keys: r.u64()?,
-        per_follower: Vec::new(),
-        lag: HistogramSnapshot::default(),
-        epoch: 0,
-        fenced: 0,
-        leading: false,
-        read_lag: 0,
-    };
-    let reshard = read_reshard_stats(r)?;
-    // Protocol v5 tail (see `put_stats`).
-    replication.per_follower = read_follower_rows(r)?;
-    replication.lag = read_histogram(r)?;
-    let n_classes = r.len(20)?;
-    if n_classes > REQUEST_CLASSES.len() {
-        return Err(WireError::BadLength(n_classes as u64));
-    }
-    let request_latency = (0..n_classes)
-        .map(|_| read_histogram(r))
-        .collect::<Result<Vec<_>, WireError>>()?;
-    let queue_wait = read_histogram(r)?;
-    let batch_apply = read_histogram(r)?;
-    let recovery_latency = read_histogram(r)?;
-    // Protocol v6 tail (see `put_stats`).
-    replication.epoch = r.u64()?;
-    replication.fenced = r.u64()?;
-    replication.leading = r.bool()?;
-    replication.read_lag = r.u64()?;
-    // Protocol v7 tail (see `put_stats`).
-    let connections = ConnectionStats {
-        live: r.u64()?,
-        accepted: r.u64()?,
-        refused: r.u64()?,
-        idle_reaped: r.u64()?,
-        accept_errors: r.u64()?,
-    };
-    Ok(MetricsSnapshot {
-        batches_applied,
-        ops_applied,
-        queue_stalls,
-        recoveries,
-        recoveries_incomplete,
-        recovery_subrounds,
-        recovery_ns,
-        last_recovery_trace,
-        last_recovery_trace_ns,
-        shards,
-        replication,
-        reshard,
-        request_latency,
-        queue_wait,
-        batch_apply,
-        recovery_latency,
-        connections,
-    })
+    Ok(Samples(samples))
 }
 
 fn put_flight_record(out: &mut Vec<u8>, rec: &FlightRecord) {
@@ -1159,7 +1027,7 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
         }
         Response::Stats(s) => {
             out.push(RESP_STATS);
-            put_stats(&mut out, s);
+            put_samples(&mut out, s);
         }
         Response::Error(msg) => {
             out.push(RESP_ERROR);
@@ -1174,10 +1042,6 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
             out.push(RESP_DIGEST_SPARSE);
             put_u64(&mut out, *epoch);
             encode_iblt_sparse(&mut out, iblt);
-        }
-        Response::MetricsText(body) => {
-            out.push(RESP_METRICS_TEXT);
-            put_string(&mut out, body);
         }
         Response::DebugDump(records) => {
             out.push(RESP_DEBUG_DUMP);
@@ -1245,7 +1109,7 @@ pub fn decode_response(payload: &[u8]) -> Result<Response, WireError> {
             iblt: decode_iblt(&mut r)?,
         },
         RESP_DIFF => Response::Diff(read_shard_diff(&mut r)?),
-        RESP_STATS => Response::Stats(Box::new(read_stats(&mut r)?)),
+        RESP_STATS => Response::Stats(read_samples(&mut r)?),
         RESP_ERROR => Response::Error(r.string()?),
         RESP_REPLICATE => Response::Replicate {
             epoch: r.u64()?,
@@ -1257,7 +1121,6 @@ pub fn decode_response(payload: &[u8]) -> Result<Response, WireError> {
             epoch: r.u64()?,
             iblt: decode_iblt_sparse(&mut r)?,
         },
-        RESP_METRICS_TEXT => Response::MetricsText(r.string()?),
         RESP_DEBUG_DUMP => Response::DebugDump(read_flight_records(&mut r)?),
         RESP_REPLICA_STATUS => Response::ReplicaStatus(ReplicaStatus {
             node_id: r.u64()?,

@@ -3,12 +3,15 @@
 //! return errors instead of panicking.
 
 use proptest::prelude::*;
+// ordering: Relaxed — single-threaded fixture setup of plain counters.
+use std::sync::atomic::Ordering::Relaxed;
 
 use peel_iblt::{Iblt, IbltConfig};
 use peel_service::metrics::{
-    ConnectionStats, FollowerStats, HistogramSnapshot, MetricsSnapshot, ReplicationStats,
-    ReshardStats, ShardStats, HISTOGRAM_BUCKETS, REQUEST_CLASSES,
+    AtomicHistogram, FollowerStats, HistogramSnapshot, Metrics, MetricsSnapshot, ReplicationStats,
+    ReshardStats, Sample, Samples, ShardStats, Value, HISTOGRAM_BUCKETS, REQUEST_CLASSES,
 };
+use peel_service::prom::render;
 use peel_service::queue::Op;
 use peel_service::recorder::FlightRecord;
 use peel_service::wire::{
@@ -74,7 +77,6 @@ fn arb_request() -> impl Strategy<Value = Request> {
         any::<u32>().prop_map(|shard| Request::ReshardDigest { shard }),
         Just(Request::ReshardCommit),
         Just(Request::ReshardAbort),
-        Just(Request::MetricsText),
         Just(Request::DebugDump),
         Just(Request::ReplicaStatus),
         (0u32..64, any::<u64>())
@@ -150,26 +152,6 @@ fn arb_histogram() -> impl Strategy<Value = HistogramSnapshot> {
         })
 }
 
-fn arb_follower_rows() -> impl Strategy<Value = Vec<FollowerStats>> {
-    proptest::collection::vec(
-        (
-            any::<u64>(),
-            any::<u64>(),
-            any::<u64>(),
-            any::<u64>(),
-            any::<bool>(),
-        )
-            .prop_map(|(id, published, acked, lag, alive)| FollowerStats {
-                id,
-                published,
-                acked,
-                lag,
-                alive,
-            }),
-        0..8,
-    )
-}
-
 /// A flight-recorder event row. Names and field strings are arbitrary
 /// UTF-8 (synthesized by lossy conversion, as for `Response::Error`).
 fn arb_flight_records() -> impl Strategy<Value = Vec<FlightRecord>> {
@@ -193,100 +175,135 @@ fn arb_flight_records() -> impl Strategy<Value = Vec<FlightRecord>> {
     )
 }
 
-fn arb_replication() -> impl Strategy<Value = ReplicationStats> {
-    (
-        (any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()),
-        (any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()),
-        (any::<u64>(), any::<u64>(), any::<u64>()),
-        (any::<u64>(), any::<u64>(), any::<bool>(), any::<u64>()),
-        arb_follower_rows(),
-        arb_histogram(),
-    )
-        .prop_map(|(a, b, c, d, per_follower, lag)| ReplicationStats {
-            followers: a.0,
-            published_seq: a.1,
-            acked_min: a.2,
-            max_lag: a.3,
-            batches_streamed: b.0,
-            batches_dropped: b.1,
-            batches_applied: b.2,
-            batches_skipped: b.3,
-            decode_errors: c.0,
-            anti_entropy_rounds: c.1,
-            anti_entropy_keys: c.2,
-            epoch: d.0,
-            fenced: d.1,
-            leading: d.2,
-            read_lag: d.3,
-            per_follower,
-            lag,
-        })
+/// Arbitrary UTF-8 text (the shim has no string strategies; lossy
+/// conversion of arbitrary bytes yields multi-byte chars too).
+fn arb_text(max: usize) -> impl Strategy<Value = String> {
+    proptest::collection::vec(any::<u8>(), 0..max)
+        .prop_map(|b| String::from_utf8_lossy(&b).into_owned())
 }
 
-fn arb_connection_stats() -> impl Strategy<Value = ConnectionStats> {
-    (
-        any::<u64>(),
-        any::<u64>(),
-        any::<u64>(),
-        any::<u64>(),
-        any::<u64>(),
-    )
-        .prop_map(
-            |(live, accepted, refused, idle_reaped, accept_errors)| ConnectionStats {
-                live,
-                accepted,
-                refused,
-                idle_reaped,
-                accept_errors,
-            },
+/// An arbitrary `Stats` sample list: any family names and labels, each
+/// value a scalar or a wire-valid histogram. The decoder is generic, so
+/// names need not be registry families.
+fn arb_samples() -> impl Strategy<Value = Samples> {
+    let value = prop_oneof![
+        any::<u64>().prop_map(Value::Scalar),
+        arb_histogram().prop_map(Value::Histogram),
+    ];
+    let labels = proptest::collection::vec((arb_text(8), arb_text(8)), 0..3);
+    proptest::collection::vec((arb_text(24), labels, value), 0..12).prop_map(|rows| {
+        let rows = rows.into_iter();
+        Samples(
+            rows.map(|(family, labels, value)| Sample {
+                family,
+                labels,
+                value,
+            })
+            .collect(),
         )
+    })
 }
 
-fn arb_stats() -> impl Strategy<Value = MetricsSnapshot> {
+/// An arbitrary live service state: every `Metrics` counter set, a few
+/// recoveries and requests recorded, and the snapshot-time shard,
+/// replication-hub, and reshard inputs.
+fn arb_metrics() -> impl Strategy<Value = MetricsSnapshot> {
+    let recovery = (
+        any::<bool>(),
+        0u32..64,
+        proptest::collection::vec((any::<u64>(), 0u64..1 << 40), 0..6),
+    );
+    let follower = (
+        any::<u64>(),
+        any::<u64>(),
+        any::<u64>(),
+        any::<u64>(),
+        any::<bool>(),
+    );
     (
-        (any::<u64>(), any::<u64>(), any::<u64>()),
-        (any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()),
-        proptest::collection::vec(any::<u64>(), 0..32),
-        proptest::collection::vec(any::<u64>(), 0..32),
-        proptest::collection::vec((any::<u64>(), any::<u64>(), any::<u64>()), 0..16),
+        proptest::collection::vec(any::<u64>(), 18..=18),
+        proptest::collection::vec(recovery, 0..4),
+        proptest::collection::vec((0usize..REQUEST_CLASSES.len() + 2, any::<u64>()), 0..16),
+        proptest::collection::vec((any::<u64>(), any::<u64>(), any::<u64>()), 0..6),
         (
-            (arb_replication(), arb_reshard_stats()),
-            proptest::collection::vec(arb_histogram(), 0..REQUEST_CLASSES.len() + 1),
-            arb_histogram(),
-            arb_histogram(),
-            arb_histogram(),
-            arb_connection_stats(),
+            proptest::collection::vec(follower, 0..4),
+            proptest::collection::vec(any::<u64>(), 0..8),
+            proptest::collection::vec(any::<u64>(), 8..=8),
+            any::<bool>(),
         ),
+        arb_reshard_stats(),
     )
         .prop_map(
-            |(a, b, trace, trace_ns, shards, ((replication, reshard), hv, h1, h2, h3, conns))| {
-                let hists = (hv, h1, h2, h3);
-                MetricsSnapshot {
-                    batches_applied: a.0,
-                    ops_applied: a.1,
-                    queue_stalls: a.2,
-                    recoveries: b.0,
-                    recoveries_incomplete: b.1,
-                    recovery_subrounds: b.2,
-                    recovery_ns: b.3,
-                    last_recovery_trace: trace,
-                    last_recovery_trace_ns: trace_ns,
-                    shards: shards
+            |(c, recoveries, requests, shards, (followers, lags, hub, leading), reshard)| {
+                let m = Metrics::default();
+                let counters = [
+                    &m.batches_applied,
+                    &m.ops_applied,
+                    &m.queue_stalls,
+                    &m.recoveries_incomplete,
+                    &m.recovery_subrounds,
+                    &m.repl_applied,
+                    &m.repl_skipped,
+                    &m.repl_decode_errors,
+                    &m.anti_entropy_rounds,
+                    &m.anti_entropy_keys,
+                    &m.repl_fenced,
+                    &m.reshards_completed,
+                    &m.reshards_aborted,
+                    &m.conns_live,
+                    &m.conns_accepted,
+                    &m.conns_refused,
+                    &m.conns_idle_reaped,
+                    &m.accept_errors,
+                ];
+                for (counter, v) in counters.into_iter().zip(c) {
+                    counter.store(v, Relaxed);
+                }
+                for (complete, subrounds, trace) in recoveries {
+                    let (keys, ns): (Vec<u64>, Vec<u64>) = trace.into_iter().unzip();
+                    m.record_recovery(complete, subrounds, &keys, &ns);
+                }
+                for (class, ns) in requests {
+                    m.record_request(class, ns);
+                    m.queue_wait.record(ns / 3);
+                    m.batch_apply.record(ns / 7);
+                }
+                let lag = AtomicHistogram::new();
+                for v in lags {
+                    lag.record(v);
+                }
+                let hub = ReplicationStats {
+                    followers: hub[0],
+                    published_seq: hub[1],
+                    acked_min: hub[2],
+                    max_lag: hub[3],
+                    batches_streamed: hub[4],
+                    batches_dropped: hub[5],
+                    epoch: hub[6],
+                    read_lag: hub[7],
+                    leading,
+                    per_follower: followers
                         .into_iter()
-                        .map(|(epoch, inserts, deletes)| ShardStats {
-                            epoch,
-                            inserts,
-                            deletes,
+                        .map(|(id, published, acked, lag, alive)| FollowerStats {
+                            id,
+                            published,
+                            acked,
+                            lag,
+                            alive,
                         })
                         .collect(),
-                    replication,
-                    reshard,
-                    request_latency: hists.0,
-                    queue_wait: hists.1,
-                    batch_apply: hists.2,
-                    recovery_latency: hists.3,
-                    connections: conns,
-                }
+                    lag: lag.snapshot(),
+                    ..ReplicationStats::default()
+                };
+                let shards = shards.into_iter();
+                let shards = shards
+                    .map(|(epoch, inserts, deletes)| ShardStats {
+                        epoch,
+                        inserts,
+                        deletes,
+                    })
+                    .collect();
+                m.snapshot(shards, hub, reshard)
             },
         )
 }
@@ -313,7 +330,7 @@ fn arb_response() -> impl Strategy<Value = Response> {
         any::<u64>().prop_map(|accepted| Response::Ok { accepted }),
         (any::<u64>(), arb_iblt()).prop_map(|(epoch, iblt)| Response::Digest { epoch, iblt }),
         arb_shard_diff().prop_map(Response::Diff),
-        arb_stats().prop_map(|s| Response::Stats(Box::new(s))),
+        arb_samples().prop_map(Response::Stats),
         (any::<u64>(), any::<u64>(), arb_ops()).prop_map(|(epoch, seq, ops)| Response::Replicate {
             epoch,
             seq,
@@ -337,10 +354,7 @@ fn arb_response() -> impl Strategy<Value = Response> {
         (any::<u64>(), arb_iblt()).prop_map(|(epoch, iblt)| Response::DigestSparse { epoch, iblt }),
         // The shim has no string strategies; synthesize UTF-8 (including
         // multi-byte chars) from arbitrary bytes via lossy conversion.
-        proptest::collection::vec(any::<u8>(), 0..40)
-            .prop_map(|b| Response::Error(String::from_utf8_lossy(&b).into_owned())),
-        proptest::collection::vec(any::<u8>(), 0..200)
-            .prop_map(|b| Response::MetricsText(String::from_utf8_lossy(&b).into_owned())),
+        arb_text(40).prop_map(Response::Error),
         arb_flight_records().prop_map(Response::DebugDump),
     ]
 }
@@ -490,6 +504,21 @@ proptest! {
             decode_response(&v7ish),
             Err(WireError::TrailingBytes(8))
         ));
+    }
+
+    /// The registry-driven `Stats` path end to end: for any service
+    /// state, the snapshot's samples survive the wire unchanged, and the
+    /// Prometheus text rendered from the decoded samples is the text
+    /// rendered in process.
+    #[test]
+    fn registry_samples_roundtrip_and_render_identically(snap in arb_metrics()) {
+        let samples = snap.samples();
+        let resp = Response::Stats(samples.clone());
+        let Response::Stats(back) = decode_response(&encode_response(&resp)).unwrap() else {
+            panic!("Stats decoded to another variant");
+        };
+        prop_assert_eq!(&back, &samples);
+        prop_assert_eq!(render(&back), render(&samples));
     }
 
     /// A truncated *frame* (length prefix promising more bytes than
@@ -654,6 +683,50 @@ proptest! {
             }
         }
     }
+}
+
+/// Hostile `Stats` payloads decode to errors: a histogram sample whose
+/// buckets run out of order or past [`HISTOGRAM_BUCKETS`], an unknown
+/// value tag, and label or sample counts larger than the payload
+/// (refused before allocating).
+#[test]
+fn hostile_stats_samples_are_refused() {
+    let good = encode_response(&Response::Stats(Samples(vec![Sample {
+        family: "h".into(),
+        labels: Vec::new(),
+        value: Value::Histogram(HistogramSnapshot {
+            count: 2,
+            sum: 5,
+            buckets: vec![(3, 1), (5, 1)],
+        }),
+    }])));
+    assert!(decode_response(&good).is_ok());
+    // Layout: tag, sample count, name (len + 1 byte), label count, value
+    // tag, histogram count + sum, bucket count, then (u32, u64) pairs.
+    let (samples_at, labels_at, value_tag_at, second_bucket_at) = (1, 10, 14, 47);
+    for bad_index in [3u32, 2, HISTOGRAM_BUCKETS as u32, u32::MAX] {
+        let mut bytes = good.clone();
+        bytes[second_bucket_at..second_bucket_at + 4].copy_from_slice(&bad_index.to_le_bytes());
+        assert!(
+            matches!(decode_response(&bytes), Err(WireError::Malformed(_))),
+            "bucket index {bad_index} after 3 must be refused"
+        );
+    }
+    let mut bytes = good.clone();
+    bytes[value_tag_at] = 2;
+    assert!(matches!(decode_response(&bytes), Err(WireError::BadTag(2))));
+    let mut bytes = good.clone();
+    bytes[labels_at..labels_at + 4].copy_from_slice(&1000u32.to_le_bytes());
+    assert!(matches!(
+        decode_response(&bytes),
+        Err(WireError::BadLength(1000))
+    ));
+    let mut bytes = good;
+    bytes[samples_at..samples_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+    assert!(matches!(
+        decode_response(&bytes),
+        Err(WireError::BadLength(_))
+    ));
 }
 
 /// Exhaustive split sweep: a representative pipelined stream split into

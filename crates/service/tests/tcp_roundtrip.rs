@@ -50,10 +50,12 @@ fn full_request_surface() {
     assert_eq!(diff.shards.len(), 4);
 
     let stats = c.stats().unwrap();
-    assert_eq!(stats.ops_applied, 600);
-    assert_eq!(stats.shards.len(), 4);
-    assert_eq!(stats.recoveries, 4);
-    assert!(stats.mean_batch_occupancy() > 0.0);
+    assert_eq!(stats.scalar("peel_ops_applied_total", &[]), Some(600));
+    assert_eq!(stats.scalars("peel_shard_epoch").count(), 4);
+    let recoveries = stats.histogram("peel_recovery_latency_ns", &[]).unwrap();
+    assert_eq!(recoveries.count, 4);
+    // Mean batch occupancy is positive: batches were applied.
+    assert!(stats.scalar("peel_batches_applied_total", &[]).unwrap() > 0);
 }
 
 #[test]
@@ -134,7 +136,7 @@ fn follower_driver_replicates_over_tcp() {
     // Let the stream subscription attach before traffic flows, so the
     // fast path (not just repair) is exercised.
     let deadline = Instant::now() + Duration::from_secs(10);
-    while c.stats().unwrap().replication.followers == 0 {
+    while c.stats().unwrap().scalar("peel_replication_followers", &[]) == Some(0) {
         assert!(Instant::now() < deadline, "follower never subscribed");
         std::thread::sleep(Duration::from_millis(5));
     }
@@ -163,8 +165,9 @@ fn follower_driver_replicates_over_tcp() {
 
     // The primary sees its follower; the follower accounted the stream.
     let stats = c.stats().unwrap();
-    assert_eq!(stats.replication.followers, 1);
-    assert!(stats.replication.batches_streamed > 0);
+    assert_eq!(stats.scalar("peel_replication_followers", &[]), Some(1));
+    let streamed = stats.scalar("peel_replication_batches_streamed_total", &[]);
+    assert!(streamed.unwrap() > 0);
     let fm = fsvc.metrics();
     assert!(
         fm.replication.batches_applied > 0,
@@ -224,22 +227,21 @@ fn reshard_round_trips_over_tcp() {
 }
 
 /// Version negotiation, downward: a protocol-v3 client (pre-reshard
-/// frame surface) against today's v5 server. The graceful-degradation
+/// frame surface) against today's server. The graceful-degradation
 /// contract covers the data plane: every keyspace frame a v3 client can
-/// send (`Hello`/`Insert`/`Delete`/`Flush`/`Digest`/`Reconcile`/
-/// `Shutdown` and the replication stream) is byte-identical in v5 and
-/// must work unchanged. `Stats` is the deliberate exception — its
-/// payload grows with the server's revision (v3 itself appended the
-/// recovery-timing fields, v5 the histogram tail), so a
-/// version-mismatched `Stats` decodes to a clean `TrailingBytes` error,
-/// never corruption.
+/// send (`Insert`/`Delete`/`Flush`/`Digest`/`Reconcile`/`Shutdown` and
+/// the replication stream) is byte-identical today and must work
+/// unchanged. `Stats` is the deliberate exception — its layout changed
+/// with the server's revision (v8 made it a self-describing sample
+/// list), so a client reading it across revisions checks the `Hello`
+/// version first.
 #[test]
 fn v3_client_against_v4_server_degrades_gracefully() {
     let server = Server::bind("127.0.0.1:0", test_cfg()).unwrap();
     let mut c = Client::connect(server.local_addr()).unwrap();
-    // The server advertises v7; a v3 client ignores the higher number
+    // The server advertises v8; a v3 client ignores the higher number
     // and keeps to its own frame surface.
-    assert_eq!(c.hello().unwrap().version, 7);
+    assert_eq!(c.hello().unwrap().version, 8);
     let keys: Vec<u64> = (0..300u64).map(|i| i * 13).collect();
     assert_eq!(c.insert(&keys).unwrap(), 300);
     c.flush().unwrap();
@@ -249,12 +251,13 @@ fn v3_client_against_v4_server_degrades_gracefully() {
     assert!(iblt.recover().complete);
 }
 
-/// Version negotiation, upward: a v4 client against a v3 server (mocked
-/// with the v3 frame surface: it answers `Hello` with version 3 and any
-/// unknown tag with a protocol `Error`, exactly as the real v3 server's
-/// total decoder did). `Client::reshard` must refuse cleanly before
-/// sending any reshard frame, and a raw reshard frame must come back as
-/// a remote error — never a hang, panic, or dropped connection.
+/// Version negotiation, upward: today's client against a v3 server
+/// (mocked with the v3 frame surface: it answers `Hello` with the v3
+/// wire image — no epoch tail — and any unknown tag with a protocol
+/// `Error`, exactly as the real v3 server's total decoder did). The
+/// handshake must refuse cleanly, and reshard frames — whole-driver or
+/// raw — must come back as remote errors on a connection that stays
+/// usable: never a hang, panic, or dropped connection.
 #[test]
 fn v4_client_against_v3_server_degrades_gracefully() {
     use peel_service::wire::{encode_response, read_frame, write_frame, HelloInfo, Response};
@@ -275,31 +278,35 @@ fn v4_client_against_v3_server_degrades_gracefully() {
         while let Ok(Some(payload)) = read_frame(&mut reader) {
             // The v3 request surface ends at tag 0x0a (ReplicateAck).
             let resp = match payload.first().copied() {
-                Some(0x01) => Response::Hello(v3_hello),
-                Some(tag) if tag >= 0x0b => {
-                    Response::Error(format!("bad request: unknown message tag {tag:#04x}"))
+                Some(0x01) => {
+                    // The v3 Hello predates the 8-byte epoch tail.
+                    let v6_image = encode_response(&Response::Hello(v3_hello));
+                    v6_image[..v6_image.len() - 8].to_vec()
                 }
-                _ => Response::Ok { accepted: 0 },
+                Some(tag) if tag >= 0x0b => encode_response(&Response::Error(format!(
+                    "bad request: unknown message tag {tag:#04x}"
+                ))),
+                _ => encode_response(&Response::Ok { accepted: 0 }),
             };
-            if write_frame(&mut writer, &encode_response(&resp)).is_err() {
+            if write_frame(&mut writer, &resp).is_err() {
                 break;
             }
         }
     });
 
     let mut c = Client::connect_retry(addr, Duration::from_secs(5)).unwrap();
-    // The driver sees version 3 in the handshake and refuses up front.
-    match c.reshard(4) {
-        Err(WireError::Remote(msg)) => assert!(msg.contains("needs v4"), "{msg}"),
-        other => panic!("expected clean version refusal, got {other:?}"),
+    // The handshake refuses the v3 image as truncated.
+    assert!(matches!(c.hello(), Err(WireError::UnexpectedEof)));
+    // The whole-reshard driver and a raw v4 frame both surface the
+    // server's tag error as a remote error, and the connection stays
+    // usable.
+    for outcome in [c.reshard(4), c.reshard_begin(4)] {
+        match outcome {
+            Err(WireError::Remote(msg)) => assert!(msg.contains("unknown message tag"), "{msg}"),
+            other => panic!("expected remote tag error, got {other:?}"),
+        }
     }
-    // A raw v4 frame surfaces the server's tag error as a remote error
-    // on a connection that stays usable.
-    match c.reshard_begin(4) {
-        Err(WireError::Remote(msg)) => assert!(msg.contains("unknown message tag"), "{msg}"),
-        other => panic!("expected remote tag error, got {other:?}"),
-    }
-    assert_eq!(c.hello().unwrap().version, 3);
+    assert_eq!(c.insert(&[1, 2]).unwrap(), 0);
     drop(c);
     mock.join().unwrap();
 }
@@ -323,6 +330,9 @@ fn concurrent_clients_share_one_service() {
     let mut c = Client::connect(addr).unwrap();
     c.flush().unwrap();
     let stats = c.stats().unwrap();
-    assert_eq!(stats.ops_applied, 1_000);
-    assert_eq!(stats.shards.iter().map(|s| s.inserts).sum::<u64>(), 1_000);
+    assert_eq!(stats.scalar("peel_ops_applied_total", &[]), Some(1_000));
+    assert_eq!(
+        stats.scalars("peel_shard_inserts_total").sum::<u64>(),
+        1_000
+    );
 }

@@ -112,13 +112,17 @@ fn main() {
     assert_eq!(diff.only_client, want_client, "client-only keys mismatch");
 
     let stats = client.stats().expect("stats");
+    let stat = |name| stats.scalar(name, &[]).unwrap_or(0);
+    let (ops, batches) = (
+        stat("peel_ops_applied_total"),
+        stat("peel_batches_applied_total"),
+    );
+    let recoveries = stats.histogram("peel_recovery_latency_ns", &[]);
     println!(
-        "server stats: {} ops in {} batches (occupancy {:.1}), {} recoveries, {} stalls",
-        stats.ops_applied,
-        stats.batches_applied,
-        stats.mean_batch_occupancy(),
-        stats.recoveries,
-        stats.queue_stalls,
+        "server stats: {ops} ops in {batches} batches (occupancy {:.1}), {} recoveries, {} stalls",
+        ops as f64 / batches.max(1) as f64,
+        recoveries.map_or(0, |h| h.count),
+        stat("peel_queue_stalls_total"),
     );
 
     if send_shutdown {

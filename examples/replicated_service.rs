@@ -96,7 +96,12 @@ fn main() {
     // path carries most of the workload (anti-entropy would heal a
     // missed prefix anyway, just more slowly).
     let deadline = Instant::now() + Duration::from_secs(10);
-    while cp.stats().expect("stats").replication.followers == 0 {
+    while cp
+        .stats()
+        .expect("stats")
+        .scalar("peel_replication_followers", &[])
+        == Some(0)
+    {
         if Instant::now() >= deadline {
             println!("note: no follower subscribed yet; relying on anti-entropy alone");
             break;
@@ -159,24 +164,26 @@ fn main() {
 
     let ps = cp.stats().expect("primary stats");
     let fs = cf.stats().expect("follower stats");
+    let p = |name| ps.scalar(name, &[]).unwrap_or(0);
+    let f = |name| fs.scalar(name, &[]).unwrap_or(0);
     println!(
         "primary replication: {} follower(s), seq {} published / {} acked (max lag {}), \
          {} batches streamed, {} dropped",
-        ps.replication.followers,
-        ps.replication.published_seq,
-        ps.replication.acked_min,
-        ps.replication.max_lag,
-        ps.replication.batches_streamed,
-        ps.replication.batches_dropped,
+        p("peel_replication_followers"),
+        p("peel_replication_published_seq"),
+        p("peel_replication_acked_min"),
+        p("peel_replication_max_lag"),
+        p("peel_replication_batches_streamed_total"),
+        p("peel_replication_batches_dropped_total"),
     );
     println!(
         "follower replication: {} batches applied, {} skipped, {} torn; \
          {} anti-entropy rounds healed {} keys",
-        fs.replication.batches_applied,
-        fs.replication.batches_skipped,
-        fs.replication.decode_errors,
-        fs.replication.anti_entropy_rounds,
-        fs.replication.anti_entropy_keys,
+        f("peel_replication_batches_applied_total"),
+        f("peel_replication_batches_skipped_total"),
+        f("peel_replication_decode_errors_total"),
+        f("peel_replication_anti_entropy_rounds_total"),
+        f("peel_replication_anti_entropy_keys_total"),
     );
 
     if send_shutdown {

@@ -71,9 +71,14 @@ fn crash_mid_reshard(server: &Server) -> (Client, Vec<u64>) {
     // the stats it can read over any connection.
     let mut restarted = Client::connect(addr).unwrap();
     let stats = restarted.stats().unwrap();
-    assert!(stats.reshard.resharding, "migration must survive the crash");
-    assert_eq!(stats.reshard.serving_shards, 1);
-    assert_eq!(stats.reshard.to_shards, 4);
+    let reshard = |name| stats.scalar(name, &[]).unwrap();
+    assert_eq!(
+        reshard("peel_reshard_active"),
+        1,
+        "migration must survive the crash"
+    );
+    assert_eq!(reshard("peel_reshard_serving_shards"), 1);
+    assert_eq!(reshard("peel_reshard_target_shards"), 4);
 
     let mut want: Vec<u64> = phase1.iter().chain(phase2.iter()).copied().collect();
     want.sort_unstable();

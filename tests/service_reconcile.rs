@@ -133,9 +133,13 @@ fn reconcile_100k_keys_diff_1000_over_tcp_with_live_ingest() {
     // applied all 100 200 server-side ops across the 4 shards, and every
     // reconcile round ran 4 shard recoveries.
     let stats = c.stats().unwrap();
-    assert_eq!(stats.ops_applied, 100_200);
-    assert_eq!(stats.shards.len(), 4);
-    assert!(stats.shards.iter().all(|s| s.epoch > 0));
-    assert_eq!(stats.recoveries, (reconciles + 1) * 4);
-    assert_eq!(stats.recoveries_incomplete, 0);
+    assert_eq!(stats.scalar("peel_ops_applied_total", &[]), Some(100_200));
+    assert_eq!(stats.scalars("peel_shard_epoch").count(), 4);
+    assert!(stats.scalars("peel_shard_epoch").all(|epoch| epoch > 0));
+    let recoveries = stats.histogram("peel_recovery_latency_ns", &[]).unwrap();
+    assert_eq!(recoveries.count, (reconciles + 1) * 4);
+    assert_eq!(
+        stats.scalar("peel_recoveries_incomplete_total", &[]),
+        Some(0)
+    );
 }

@@ -149,16 +149,17 @@ pub fn run(root: &Path, bin: &Path) -> Result<(), String> {
     let snap = probe
         .stats()
         .map_err(|e| format!("stats after herd: {e}"))?;
-    if (snap.connections.live as usize) < CONNECTIONS {
+    let stat = |name| snap.scalar(name, &[]).unwrap_or(0) as usize;
+    let live = stat("peel_connections_live");
+    if live < CONNECTIONS {
         return Err(format!(
-            "server gauge saw only {} live connections, expected at least {CONNECTIONS}",
-            snap.connections.live
+            "server gauge saw only {live} live connections, expected at least {CONNECTIONS}"
         ));
     }
-    if (snap.connections.accepted as usize) < CONNECTIONS + 1 {
+    let accepted = stat("peel_connections_accepted_total");
+    if accepted < CONNECTIONS + 1 {
         return Err(format!(
-            "server counted only {} accepted connections, expected at least {}",
-            snap.connections.accepted,
+            "server counted only {accepted} accepted connections, expected at least {}",
             CONNECTIONS + 1
         ));
     }

@@ -34,13 +34,13 @@
 //!    `<!-- orderings:begin -->` / `<!-- orderings:end -->` markers)
 //!    must match the tree; regenerate with
 //!    `cargo xtask lint --write-orderings`.
-//! 6. **Metrics registry** ([`check_metrics_registry`]): every metric
-//!    family declared in `crates/service/src/prom.rs`'s `REGISTRY` must
-//!    have a non-empty help string and a documentation row in
-//!    README.md's metrics table (between the `<!-- metrics:begin -->` /
-//!    `<!-- metrics:end -->` markers), and the table must not document
-//!    metrics the registry no longer exports — an exported family
+//! 6. **Metrics registry** ([`check_metrics_registry`]): README.md's
+//!    metrics table (between the `<!-- metrics:begin -->` /
+//!    `<!-- metrics:end -->` markers) must equal the table generated
+//!    from the `REGISTRY` in `crates/service/src/metrics.rs`, and every
+//!    entry needs a help string and a known type — an exported family
 //!    cannot ship undocumented, and docs cannot go stale silently.
+//!    Regenerate with `cargo xtask lint --write-metrics`.
 
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -547,137 +547,191 @@ pub fn check_readme_orderings(root: &Path) -> Vec<Violation> {
 
 /// Rewrite README's orderings table in place.
 pub fn write_readme_orderings(root: &Path) -> std::io::Result<()> {
+    replace_between(root, TABLE_BEGIN, TABLE_END, &orderings_table(root))
+}
+
+/// Replace README's text between the `begin`/`end` markers with `table`.
+fn replace_between(root: &Path, begin: &str, end: &str, table: &str) -> std::io::Result<()> {
     let readme = root.join("README.md");
     let text = std::fs::read_to_string(&readme)?;
-    let (Some(b), Some(e)) = (text.find(TABLE_BEGIN), text.find(TABLE_END)) else {
+    let (Some(b), Some(e)) = (text.find(begin), text.find(end)) else {
         return Err(std::io::Error::other(format!(
-            "README.md is missing the {TABLE_BEGIN} / {TABLE_END} markers"
+            "README.md is missing the {begin} / {end} markers"
         )));
     };
     let new = format!(
-        "{}{}\n{}\n{}{}",
+        "{}{begin}\n{}\n{end}{}",
         &text[..b],
-        TABLE_BEGIN,
-        orderings_table(root).trim(),
-        TABLE_END,
-        &text[e + TABLE_END.len()..]
+        table.trim(),
+        &text[e + end.len()..]
     );
     std::fs::write(&readme, new)
 }
 
 /// Path of the metrics registry the sixth pass parses.
-const PROM_REL: &str = "crates/service/src/prom.rs";
+const METRICS_REL: &str = "crates/service/src/metrics.rs";
 const METRICS_BEGIN: &str = "<!-- metrics:begin -->";
 const METRICS_END: &str = "<!-- metrics:end -->";
 
-/// The `(name, type, help)` entries of `REGISTRY` in `prom.rs`, parsed
-/// textually: every string literal between the declaration and its
-/// closing `];`, chunked into triples (robust to rustfmt's line
-/// splitting, by the module's "plain string-literal tuples only"
-/// convention). `None` when the tree has no registry.
-pub fn registry_entries(root: &Path) -> Option<Vec<(String, String, String)>> {
-    let text = std::fs::read_to_string(root.join(PROM_REL)).ok()?;
+/// One `Family` entry of the metrics registry, as read from the source.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RegistryEntry {
+    /// Exported family name.
+    pub name: String,
+    /// `counter`, `gauge`, or `histogram`.
+    pub kind: String,
+    /// Label names (histograms also carry `le`, added by the table).
+    pub labels: Vec<String>,
+    /// Help string.
+    pub help: String,
+}
+
+/// The string literals in `text`, in order (no escape handling: the
+/// registry's fields are plain literals by convention).
+fn literals(text: &str) -> Vec<&str> {
+    text.split('"').skip(1).step_by(2).collect()
+}
+
+/// The first string literal after `key` in `text`.
+fn field<'a>(text: &'a str, key: &str) -> Option<&'a str> {
+    let rest = &text[text.find(key)? + key.len()..];
+    literals(rest).first().copied()
+}
+
+/// The `Family` entries of `REGISTRY` in `metrics.rs`, parsed
+/// textually: each `Family {` block's `name`, `kind`, `labels` and
+/// `help` literals (robust to rustfmt's line splitting). `None` when
+/// the tree has no registry or an entry lacks a field.
+pub fn registry_entries(root: &Path) -> Option<Vec<RegistryEntry>> {
+    let text = std::fs::read_to_string(root.join(METRICS_REL)).ok()?;
     let start = text.find("pub const REGISTRY")?;
-    let body = &text[start..start + text[start..].find("];")?];
-    let mut strings = Vec::new();
-    let mut rest = body;
-    while let Some(open) = rest.find('"') {
-        let after = &rest[open + 1..];
-        let close = after.find('"')?;
-        strings.push(after[..close].to_string());
-        rest = &after[close + 1..];
-    }
-    Some(
-        strings
-            .chunks_exact(3)
-            .map(|c| (c[0].clone(), c[1].clone(), c[2].clone()))
-            .collect(),
-    )
+    let body = &text[start..start + text[start..].find("\n];")?];
+    body.split("Family {")
+        .skip(1)
+        .map(|entry| {
+            let labels = &entry[entry.find("labels:")?..];
+            Some(RegistryEntry {
+                name: field(entry, "name:")?.to_string(),
+                kind: field(entry, "kind:")?.to_string(),
+                labels: literals(&labels[..labels.find(']')?])
+                    .into_iter()
+                    .map(String::from)
+                    .collect(),
+                help: field(entry, "help:")?.to_string(),
+            })
+        })
+        .collect()
 }
 
-/// The metric names documented in README's metrics table: the first
-/// backtick-quoted token of each `|`-delimited row between the markers.
-fn readme_metric_rows(text: &str) -> Option<Vec<String>> {
-    let b = text.find(METRICS_BEGIN)?;
-    let e = text.find(METRICS_END)?;
-    let mut out = Vec::new();
-    for line in text[b..e].lines() {
-        let t = line.trim();
-        if !t.starts_with('|') {
-            continue;
+/// README's metric reference table, generated from the registry: one row
+/// per family. A histogram's labels include `le`; its derived
+/// `_quantile` gauge is described in the prose above the table.
+fn metrics_table(entries: &[RegistryEntry]) -> String {
+    let mut rows = String::from("| Metric | Type | Labels | Help |\n|---|---|---|---|\n");
+    for e in entries {
+        let mut labels: Vec<String> = e.labels.iter().map(|l| format!("`{l}`")).collect();
+        if e.kind == "histogram" {
+            labels.push("`le`".into());
         }
-        let Some(cell) = t.trim_start_matches('|').split('|').next() else {
-            continue;
+        let labels = if labels.is_empty() {
+            "—".to_string()
+        } else {
+            labels.join(", ")
         };
-        let cell = cell.trim();
-        if let Some(name) = cell.strip_prefix('`').and_then(|c| c.strip_suffix('`')) {
-            out.push(name.to_string());
-        }
+        rows.push_str(&format!(
+            "| `{}` | {} | {labels} | {} |\n",
+            e.name, e.kind, e.help
+        ));
     }
-    Some(out)
+    rows
 }
 
-/// Pass 6: the prom.rs metric registry and README's metrics table agree
-/// — every exported family is documented with a help string, and no
-/// documented family has been dropped from the registry.
+/// The family a table row documents: its first backtick-quoted cell.
+fn row_name(row: &str) -> Option<&str> {
+    let cell = row.trim().trim_start_matches('|').split('|').next()?.trim();
+    cell.strip_prefix('`')?.strip_suffix('`')
+}
+
+/// Pass 6: README's metrics table equals the table generated from the
+/// registry in `metrics.rs`, and every entry has a help string and a
+/// known type. Differences are reported per family (missing, stale, or
+/// no longer exported) so the finding names what drifted.
 pub fn check_metrics_registry(root: &Path) -> Vec<Violation> {
-    let Some(entries) = registry_entries(root) else {
-        // No registry, nothing to check (pre-observability trees and
-        // the seeded fixtures without a prom.rs).
+    if !root.join(METRICS_REL).exists() {
+        // No registry, nothing to check (pre-observability trees).
         return Vec::new();
+    }
+    let violation = |file: &str, message: String| Violation {
+        file: file.into(),
+        line: 0,
+        message,
+    };
+    let Some(entries) = registry_entries(root) else {
+        return vec![violation(
+            METRICS_REL,
+            "could not parse the metrics REGISTRY (keep its fields plain literals)".into(),
+        )];
     };
     let mut out = Vec::new();
-    for (name, ty, help) in &entries {
-        if help.trim().is_empty() {
-            out.push(Violation {
-                file: PROM_REL.into(),
-                line: 0,
-                message: format!("metric {name} has an empty help string"),
-            });
+    for e in &entries {
+        if e.help.trim().is_empty() {
+            let msg = format!("metric {} has an empty help string", e.name);
+            out.push(violation(METRICS_REL, msg));
         }
-        if !matches!(ty.as_str(), "counter" | "gauge" | "histogram") {
-            out.push(Violation {
-                file: PROM_REL.into(),
-                line: 0,
-                message: format!("metric {name} has unknown type `{ty}`"),
-            });
+        if !matches!(e.kind.as_str(), "counter" | "gauge" | "histogram") {
+            let msg = format!("metric {} has unknown type `{}`", e.name, e.kind);
+            out.push(violation(METRICS_REL, msg));
         }
     }
     let Ok(readme) = std::fs::read_to_string(root.join("README.md")) else {
-        out.push(Violation {
-            file: "README.md".into(),
-            line: 0,
-            message: "README.md not found (metrics table required)".into(),
-        });
+        out.push(violation("README.md", "README.md not found".into()));
         return out;
     };
-    let Some(rows) = readme_metric_rows(&readme) else {
-        out.push(Violation {
-            file: "README.md".into(),
-            line: 0,
-            message: format!("missing {METRICS_BEGIN} / {METRICS_END} markers"),
-        });
+    let (Some(b), Some(e)) = (readme.find(METRICS_BEGIN), readme.find(METRICS_END)) else {
+        let msg = format!("missing {METRICS_BEGIN} / {METRICS_END} markers");
+        out.push(violation("README.md", msg));
         return out;
     };
-    for (name, _, _) in &entries {
-        if !rows.iter().any(|r| r == name) {
-            out.push(Violation {
-                file: "README.md".into(),
-                line: 0,
-                message: format!("exported metric {name} is missing from the README metrics table"),
-            });
+    let current = readme[b + METRICS_BEGIN.len()..e].trim();
+    let generated = metrics_table(&entries);
+    if current == generated.trim() {
+        return out;
+    }
+    let fix = "run `cargo xtask lint --write-metrics`";
+    let readme_rows: Vec<&str> = current.lines().map(str::trim).collect();
+    let mut drift = false;
+    for row in generated.lines().skip(2) {
+        let name = row_name(row).unwrap_or_default();
+        let msg = match readme_rows.iter().find(|r| row_name(r) == Some(name)) {
+            None => {
+                format!("exported metric {name} is missing from the README metrics table — {fix}")
+            }
+            Some(r) if *r != row => format!("README metrics table row for {name} is stale — {fix}"),
+            Some(_) => continue,
+        };
+        drift = true;
+        out.push(violation("README.md", msg));
+    }
+    for name in readme_rows.iter().filter_map(|r| row_name(r)) {
+        if !entries.iter().any(|e| e.name == name) {
+            drift = true;
+            let msg = format!("README metrics table documents {name}, which is not exported");
+            out.push(violation("README.md", msg));
         }
     }
-    for row in &rows {
-        if !entries.iter().any(|(n, _, _)| n == row) {
-            out.push(Violation {
-                file: "README.md".into(),
-                line: 0,
-                message: format!("README metrics table documents {row}, which is not exported"),
-            });
-        }
+    if !drift {
+        let msg =
+            format!("README metrics table differs from the registry's order or header — {fix}");
+        out.push(violation("README.md", msg));
     }
     out
+}
+
+/// Rewrite README's metrics table from the registry in place.
+pub fn write_readme_metrics(root: &Path) -> std::io::Result<()> {
+    let entries = registry_entries(root)
+        .ok_or_else(|| std::io::Error::other(format!("could not parse {METRICS_REL}")))?;
+    replace_between(root, METRICS_BEGIN, METRICS_END, &metrics_table(&entries))
 }
 
 /// Run every pass; the full violation list, stably ordered.

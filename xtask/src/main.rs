@@ -6,6 +6,9 @@
 //!   memory-orderings table.
 //! * `cargo xtask lint --write-orderings` — rewrite the table in
 //!   README.md between the `<!-- orderings:begin/end -->` markers.
+//! * `cargo xtask lint --write-metrics` — regenerate README.md's metric
+//!   reference table (between the `<!-- metrics:begin/end -->` markers)
+//!   from the registry in `crates/service/src/metrics.rs`.
 //! * `cargo xtask mesh-smoke` — build `peel-server` and run the
 //!   3-process replica-mesh failover smoke test (kill the primary
 //!   mid-ingest; survivors must elect, converge, and serve reads).
@@ -16,7 +19,7 @@
 //!   and a clean process exit on `Shutdown` with the herd attached.
 //!   The server log lands in `target/conn-smoke/`, kept on failure.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 fn repo_root() -> PathBuf {
@@ -36,13 +39,23 @@ fn main() -> ExitCode {
                 print!("{}", xtask::orderings_table(&root));
                 return ExitCode::SUCCESS;
             }
-            if args.iter().any(|a| a == "--write-orderings") {
-                if let Err(e) = xtask::write_readme_orderings(&root) {
-                    eprintln!("xtask: {e}");
-                    return ExitCode::FAILURE;
+            let writers: [(&str, &str, fn(&Path) -> std::io::Result<()>); 2] = [
+                (
+                    "--write-orderings",
+                    "orderings",
+                    xtask::write_readme_orderings,
+                ),
+                ("--write-metrics", "metrics", xtask::write_readme_metrics),
+            ];
+            for (flag, table, write) in writers {
+                if args.iter().any(|a| a == flag) {
+                    if let Err(e) = write(&root) {
+                        eprintln!("xtask: {e}");
+                        return ExitCode::FAILURE;
+                    }
+                    println!("README.md {table} table rewritten");
+                    return ExitCode::SUCCESS;
                 }
-                println!("README.md orderings table rewritten");
-                return ExitCode::SUCCESS;
             }
             let violations = xtask::lint_all(&root);
             for v in &violations {
@@ -100,7 +113,8 @@ fn main() -> ExitCode {
         }
         _ => {
             eprintln!(
-                "usage: cargo xtask lint [--orderings | --write-orderings] | mesh-smoke | conn-smoke"
+                "usage: cargo xtask lint [--orderings | --write-orderings | --write-metrics] \
+                 | mesh-smoke | conn-smoke"
             );
             ExitCode::FAILURE
         }

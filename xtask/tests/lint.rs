@@ -96,15 +96,21 @@ fn seeded_metrics_registry_violation_is_caught() {
 fn merged_metrics_registry_is_parsed_and_nonempty() {
     // The real registry must parse (the pass silently no-ops when the
     // file is absent, so an accidentally unparseable REGISTRY would
-    // otherwise disable the check) — prove it sees the histograms.
-    let entries = xtask::registry_entries(&repo_root()).expect("prom.rs registry must parse");
+    // otherwise disable the check) — prove it sees the histograms and
+    // their labels.
+    let entries = xtask::registry_entries(&repo_root()).expect("metrics.rs registry must parse");
     assert!(entries.len() >= 30, "suspiciously small registry");
-    assert!(entries
-        .iter()
-        .any(|(n, t, _)| n == "peel_request_latency_ns" && t == "histogram"));
-    assert!(entries
-        .iter()
-        .any(|(n, t, _)| n == "peel_replication_lag_batches" && t == "histogram"));
+    let find = |name: &str| entries.iter().find(|e| e.name == name).unwrap();
+    let request = find("peel_request_latency_ns");
+    assert_eq!(
+        (request.kind.as_str(), request.labels.clone()),
+        ("histogram", vec!["class".to_string()])
+    );
+    assert_eq!(find("peel_replication_lag_batches").kind, "histogram");
+    assert_eq!(
+        find("peel_last_recovery_subround_keys").labels,
+        ["subround"]
+    );
 }
 
 #[test]
